@@ -138,7 +138,7 @@ LoadResult runLoad(std::uint16_t port, std::size_t clients,
       std::vector<double> mine;
       mine.reserve(perClient);
       std::size_t failed = 0;
-      const int fd = server::connectLoopback(port);
+      const int fd = server::connectHost("127.0.0.1", port);
       if (fd >= 0) {
         for (std::size_t i = 0; i < perClient; ++i) {
           const double s = roundTrip(fd, payload);
@@ -208,7 +208,7 @@ void printExperiment() {
 
   // Cold/warm: the first sweep computes, identical repeats hit the
   // resident content-keyed cache.
-  const int fd = server::connectLoopback(srv.port());
+  const int fd = server::connectHost("127.0.0.1", srv.port());
   const std::string sweepReq = sweepRequest(specPath);
   const double coldSeconds = fd >= 0 ? roundTrip(fd, sweepReq) : -1.0;
   const std::size_t warmRepeats = 3;
@@ -275,7 +275,7 @@ void BM_PingRoundTrip(benchmark::State& state) {
     state.SkipWithError(error.c_str());
     return;
   }
-  const int fd = server::connectLoopback(srv.port());
+  const int fd = server::connectHost("127.0.0.1", srv.port());
   const std::string ping = "{\"id\":1,\"kind\":\"ping\"}";
   for (auto _ : state) {
     benchmark::DoNotOptimize(roundTrip(fd, ping));
@@ -297,7 +297,7 @@ void BM_RadiusQueryRoundTrip(benchmark::State& state) {
     state.SkipWithError(error.c_str());
     return;
   }
-  const int fd = server::connectLoopback(srv.port());
+  const int fd = server::connectHost("127.0.0.1", srv.port());
   const std::string req = radiusRequest(problemPath);
   for (auto _ : state) {
     benchmark::DoNotOptimize(roundTrip(fd, req));

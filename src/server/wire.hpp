@@ -1,7 +1,6 @@
 // fepiad wire protocol: length-prefixed JSON frames over a stream
-// socket, plus the small hand-rolled JSON reader the server uses to
-// decode requests (the repo's obs/json.hpp only *writes* and
-// syntax-checks JSON; nothing else in the tree parses it).
+// socket. Payloads are read and written with obs/json.hpp, the repo's
+// one JSON reader and writer.
 //
 // Framing: every message is a 4-byte big-endian payload length followed
 // by exactly that many bytes of UTF-8 JSON. The prefix makes message
@@ -21,64 +20,16 @@
 // Progress:  {"id": <echo>, "type": "progress", "event": {<one
 //             telemetry JSONL record, embedded verbatim>}}
 //
-// The JSON reader is deliberately small: UTF-8 passthrough, \uXXXX
-// decoded to UTF-8 (surrogate pairs included), numbers via
-// std::from_chars (locale-immune, round-trip exact), objects kept as
-// insertion-ordered key/value vectors, recursion capped at kMaxDepth.
+// A server hosting a sweep coordinator also answers the distributed-
+// sweep kinds (hello, lease, commit, heartbeat, done; see
+// server/dist_sweep.hpp) on the same connections.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace fepia::server {
-
-// ---------------------------------------------------------------------
-// JSON values.
-
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-/// Insertion-ordered object (request objects are tiny; linear lookup).
-using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
-
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  JsonArray array;
-  JsonObject object;
-
-  [[nodiscard]] bool isNull() const noexcept { return kind == Kind::Null; }
-  [[nodiscard]] bool isString() const noexcept {
-    return kind == Kind::String;
-  }
-  [[nodiscard]] bool isNumber() const noexcept {
-    return kind == Kind::Number;
-  }
-  [[nodiscard]] bool isObject() const noexcept {
-    return kind == Kind::Object;
-  }
-  /// Object member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(const std::string& key) const;
-};
-
-/// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected). On failure returns nullopt and, when
-/// `error` is non-null, a one-line diagnostic.
-[[nodiscard]] std::optional<JsonValue> parseJson(const std::string& text,
-                                                 std::string* error = nullptr);
-
-/// Serializes a value back to compact JSON (numbers in the repo's
-/// %.17g round-trip form, non-finite numbers as null). Used to echo
-/// request ids verbatim into responses.
-[[nodiscard]] std::string serializeJson(const JsonValue& value);
-
-// ---------------------------------------------------------------------
-// Framing over file descriptors.
 
 /// Hard ceiling a server will accept unless configured lower.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 4u << 20;  // 4 MiB
@@ -108,12 +59,9 @@ struct Frame {
 /// deliberately broken frames next to well-formed ones.
 [[nodiscard]] std::string encodeFrame(const std::string& payload);
 
-/// Connects to 127.0.0.1:port; returns the fd or -1. The loopback-only
-/// client used by the tests, the bench load generator and ci.sh.
-[[nodiscard]] int connectLoopback(std::uint16_t port);
-
 /// Connects to host:port (numeric IPv4 or a resolvable name); returns
-/// the fd or -1. The distributed sweep worker's client side.
+/// the fd or -1. The one client-side connect: sweep workers, the tests
+/// and the bench load generator (as connectHost("127.0.0.1", port)).
 [[nodiscard]] int connectHost(const std::string& host, std::uint16_t port);
 
 }  // namespace fepia::server

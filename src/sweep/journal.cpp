@@ -106,8 +106,8 @@ JournalContents readJournal(const std::string& path, std::uint64_t specHash,
 
   // Point lines stage into the slots directly; only a shard's commit
   // marker makes them count. Malformed lines are skipped, not fatal:
-  // appends land in file order, so a durable `shard done` marker implies
-  // every point line of that append is durable before it — a malformed
+  // appends land in file order, so a flushed `shard done` marker implies
+  // every point line of that append was flushed before it — a malformed
   // line can only be crash debris from an append whose marker never made
   // it, and the resumed run re-stages that shard's points (overwriting
   // anything the debris staged) before committing it. Skipping therefore

@@ -1,8 +1,11 @@
-// Checkpoint journal: crash-safe shard-granular sweep persistence.
+// Checkpoint journal: shard-granular sweep persistence that survives a
+// killed process.
 //
 // A sweep appends each completed shard to a line-oriented journal and
-// flushes; `--resume` replays the journal and recomputes only the shards
-// without a commit marker. Format:
+// flushes it to the operating system; `--resume` replays the journal
+// and recomputes only the shards without a commit marker. Nothing is
+// synced to disk, so an OS crash or power loss can drop the last
+// appends (replay recomputes those shards). Format:
 //
 //   fepia-sweep-journal v1
 //   spec <hex16-hash> points <P> chunk <C>
@@ -15,8 +18,8 @@
 // byte-identity guarantee rests on this exact round-trip. A shard's
 // point lines count only once its `shard <s> done` marker is present;
 // a torn tail (crash mid-write) is therefore ignored: readJournal skips
-// malformed lines (safe because appends are ordered — a durable commit
-// marker implies its point lines are durable too, so debris always
+// malformed lines (safe because appends are ordered — a flushed commit
+// marker implies its point lines were flushed too, so debris always
 // belongs to an uncommitted shard that gets re-staged on resume), and
 // JournalWriter quarantines a newline-less tail behind a fresh newline
 // before appending. The spec hash in the header refuses resuming a
@@ -70,7 +73,8 @@ class JournalWriter {
             std::size_t points, std::size_t chunk);
 
   /// Writes one completed shard (point lines + commit marker) and
-  /// flushes, so a kill after return never loses the shard.
+  /// flushes, so a killed process never loses the shard after return
+  /// (an OS crash still can: nothing is synced to disk).
   void appendShard(std::size_t shard, std::size_t firstId,
                    const PointResult* results, std::size_t count);
 

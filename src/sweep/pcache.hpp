@@ -17,8 +17,9 @@
 //   fepia-sweep-pcache v1
 //   entry <hexfloat-radius> <classifications> <content key ...>
 //
-// and every append is flushed. Crash debris is tolerated the same way
-// the sweep journal tolerates it: a torn or malformed line (including a
+// and every append is flushed (not synced: it survives a killed writer,
+// not an OS crash, like the journal). Crash debris is tolerated the same
+// way the sweep journal tolerates it: a torn or malformed line (including a
 // newline-less tail from a killed writer) is quarantined — skipped and
 // counted — on open, valid lines before and after it still load, and a
 // segment without the version header is skipped whole. Writers never

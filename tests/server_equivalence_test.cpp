@@ -24,15 +24,14 @@
 #include "obs/json.hpp"
 #include "server/server.hpp"
 #include "server/wire.hpp"
+#include "support/tmp_path.hpp"
 
 namespace server = fepia::server;
 namespace obs = fepia::obs;
 
 namespace {
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -110,7 +109,7 @@ struct Reply {
 Reply ask(std::uint16_t port, const std::string& kind,
           const std::vector<std::string>& args, bool stream = false) {
   Reply reply;
-  const int fd = server::connectLoopback(port);
+  const int fd = server::connectHost("127.0.0.1", port);
   EXPECT_GE(fd, 0);
   if (fd < 0) return reply;
   timeval tv{};
@@ -134,25 +133,25 @@ Reply ask(std::uint16_t port, const std::string& kind,
     EXPECT_EQ(frame.status, server::FrameStatus::Ok);
     if (frame.status != server::FrameStatus::Ok) break;
     std::string error;
-    const std::optional<server::JsonValue> doc =
-        server::parseJson(frame.payload, &error);
+    const std::optional<obs::JsonValue> doc =
+        obs::parseJson(frame.payload, &error);
     EXPECT_TRUE(doc.has_value()) << error;
     if (!doc.has_value()) break;
-    if (const server::JsonValue* type = doc->find("type");
+    if (const obs::JsonValue* type = doc->find("type");
         type != nullptr && type->string == "progress") {
       ++reply.progressFrames;
       continue;
     }
-    if (const server::JsonValue* ok = doc->find("ok")) {
+    if (const obs::JsonValue* ok = doc->find("ok")) {
       reply.ok = ok->boolean;
     }
-    if (const server::JsonValue* exit = doc->find("exit")) {
+    if (const obs::JsonValue* exit = doc->find("exit")) {
       reply.exit = static_cast<int>(exit->number);
     }
-    if (const server::JsonValue* output = doc->find("output")) {
+    if (const obs::JsonValue* output = doc->find("output")) {
       reply.output = output->string;
     }
-    if (const server::JsonValue* json = doc->find("json");
+    if (const obs::JsonValue* json = doc->find("json");
         json != nullptr && json->isString()) {
       reply.hasJson = true;
       reply.json = json->string;

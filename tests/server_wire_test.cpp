@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -19,17 +20,19 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "server/wire.hpp"
 
+namespace obs = fepia::obs;
 namespace server = fepia::server;
 
 namespace {
 
 using server::Frame;
 using server::FrameStatus;
-using server::JsonValue;
-using server::parseJson;
-using server::serializeJson;
+using obs::JsonValue;
+using obs::parseJson;
+using obs::serializeJson;
 
 /// Loopback client with a receive timeout: a server that wedges turns
 /// into an IoError assertion failure, never a hung test binary.
@@ -37,7 +40,7 @@ struct Client {
   int fd = -1;
 
   explicit Client(std::uint16_t port) {
-    fd = server::connectLoopback(port);
+    fd = server::connectHost("127.0.0.1", port);
     if (fd >= 0) {
       timeval tv{};
       tv.tv_sec = 30;
@@ -568,4 +571,71 @@ TEST(ServerWire, ShutdownDrainsEveryAcceptedRequest) {
   EXPECT_TRUE(srv.stopping());
   srv.stop();
   EXPECT_EQ(srv.stats().served, 3u);
+}
+
+TEST(ServerWire, StopNeverWaitsOnAClientAcceptedDuringShutdown) {
+  // Clients that keep connecting while stop() runs, and then sit
+  // silent, must not hold it hostage: a connection the acceptor
+  // registers is one requestStop shuts down, and one it registers too
+  // late is dropped. The clients hang up on their own only after 10 s,
+  // so a connection that slipped through shows as a stop() that long.
+  constexpr int kIterations = 200;
+  constexpr std::size_t kMaxClients = 32;
+  for (int i = 0; i < kIterations; ++i) {
+    server::Server srv(testConfig());
+    std::string error;
+    ASSERT_TRUE(srv.start(&error)) << error;
+    const std::uint16_t port = srv.port();
+    std::atomic<std::size_t> connected{0};
+    std::atomic<bool> clientsDone{false};
+    std::atomic<bool> stopReturned{false};
+    std::thread clients([&] {
+      std::vector<int> fds;
+      while (fds.size() < kMaxClients) {
+        const int fd = server::connectHost("127.0.0.1", port);
+        if (fd < 0) break;  // the listener is gone
+        fds.push_back(fd);
+        connected.fetch_add(1);
+      }
+      clientsDone.store(true);
+      const auto giveUp =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!stopReturned.load() &&
+             std::chrono::steady_clock::now() < giveUp) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      for (const int fd : fds) ::close(fd);
+    });
+    // Stop at a different point of the connect burst each iteration.
+    const std::size_t stopAfter = 1 + static_cast<std::size_t>(i) % 16;
+    while (connected.load() < stopAfter && !clientsDone.load()) {
+      std::this_thread::yield();
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    srv.stop();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    stopReturned.store(true);
+    clients.join();
+    EXPECT_LT(seconds, 5.0) << "stop() waited on an idle client in iteration "
+                            << i;
+  }
+}
+
+TEST(ServerWire, SweepKindsAreUnknownWithoutACoordinator) {
+  server::Server srv(testConfig());
+  std::string error;
+  ASSERT_TRUE(srv.start(&error)) << error;
+
+  Client client(srv.port());
+  ASSERT_GE(client.fd, 0);
+  ASSERT_TRUE(client.send("{\"id\":1,\"kind\":\"hello\",\"worker\":\"w\"}"));
+  const Reply r = readReply(client);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.id, "1");
+  EXPECT_EQ(r.code, "bad_request");
+  EXPECT_NE(r.message.find("unknown kind 'hello'"), std::string::npos)
+      << r.message;
+  srv.stop();
 }

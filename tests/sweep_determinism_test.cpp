@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
+#include "support/tmp_path.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
@@ -21,9 +22,7 @@ namespace {
 
 using namespace fepia;
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 /// A grid touching every dedup path of the linear family, with the
 /// empirical estimator on so Monte-Carlo substreams are exercised too.

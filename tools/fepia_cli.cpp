@@ -139,7 +139,6 @@
 #include "sweep/engine.hpp"
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
-#include "trace/counters.hpp"
 #include "validate/empirical.hpp"
 #include "validate/scheme.hpp"
 
