@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -13,6 +15,7 @@
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -35,6 +38,10 @@ using obs::parseJson;
 using obs::serializeJson;
 
 constexpr int kWaitRetryMillis = 100;
+/// Longest "wait" a worker honours before calling the reply malformed.
+constexpr double kMaxRetryMillis = 60000.0;
+/// 2^53: every integer up to it is exactly representable as a double.
+constexpr double kMaxExactInteger = 9007199254740992.0;
 /// After the last shard commits, how long the coordinator keeps serving
 /// so connected workers can hear "drained" and leave cleanly.
 constexpr double kDrainGraceSeconds = 10.0;
@@ -156,6 +163,21 @@ std::size_t shardIndex(const JsonValue& shard, std::size_t shards) {
                        "shard " + serializeJson(shard) + " out of range");
   }
   return static_cast<std::size_t>(shard.number);
+}
+
+/// A lease reply's `key` as an integer in [0, limit]; the worker's
+/// "malformed lease reply" error otherwise. The worker sizes its result
+/// buffer and its sleeps from these fields, and converting a negative,
+/// huge or NaN double to an integer is undefined, so the check comes
+/// before the cast.
+std::uint64_t leaseField(const JsonValue& v, const char* key, double limit) {
+  if (!(v.number >= 0.0 && v.number <= limit &&
+        v.number == std::floor(v.number))) {
+    throw std::runtime_error(
+        std::string("sweep worker: malformed lease reply (") + key + " " +
+        serializeJson(v) + ")");
+  }
+  return static_cast<std::uint64_t>(v.number);
 }
 
 }  // namespace
@@ -772,6 +794,11 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
   }
   double leaseMs = 10000.0;
   if (const JsonValue* v = findNumber(*welcome, "lease_ms")) {
+    // Cast to whole milliseconds below: refuse NaN, <= 0 and huge.
+    if (!(v->number > 0.0 && v->number <= kMaxExactInteger)) {
+      throw std::runtime_error("sweep worker: malformed welcome (lease_ms " +
+                               serializeJson(*v) + ")");
+    }
     leaseMs = v->number;
   }
   logLine("worker '" + name + "': connected to " + cfg.host + ":" +
@@ -833,12 +860,11 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     }
     if (kind->string == "drained") break;
     if (kind->string == "wait") {
-      double retryMs = kWaitRetryMillis;
+      std::uint64_t retryMs = kWaitRetryMillis;
       if (const JsonValue* v = findNumber(*reply, "retry_ms")) {
-        retryMs = v->number;
+        retryMs = leaseField(*v, "retry_ms", kMaxRetryMillis);
       }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<long>(retryMs)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(retryMs));
       continue;
     }
     if (kind->string != "lease") {
@@ -851,12 +877,16 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     if (shardV == nullptr || firstV == nullptr || countV == nullptr) {
       throw std::runtime_error("sweep worker: malformed lease reply");
     }
-    const std::size_t shard = static_cast<std::size_t>(shardV->number);
-    const std::size_t first = static_cast<std::size_t>(firstV->number);
-    const std::size_t count = static_cast<std::size_t>(countV->number);
+    // A shard holds at least one point, so no index reaches the point
+    // count, and the leased range must lie inside the grid.
+    const double points = static_cast<double>(spec.pointCount());
+    const std::size_t shard = leaseField(*shardV, "shard", points - 1.0);
+    const std::size_t first = leaseField(*firstV, "first", points);
+    const std::size_t count =
+        leaseField(*countV, "count", points - static_cast<double>(first));
     std::uint64_t generation = 0;
     if (const JsonValue* v = findNumber(*reply, "generation")) {
-      generation = static_cast<std::uint64_t>(v->number);
+      generation = leaseField(*v, "generation", kMaxExactInteger);
     }
     logLine("worker '" + name + "': leased shard " + std::to_string(shard) +
             " (" + std::to_string(count) + " points, generation " +

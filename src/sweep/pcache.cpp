@@ -16,7 +16,7 @@ namespace fepia::sweep {
 namespace fs = std::filesystem;
 
 namespace {
-constexpr const char* kHeader = "fepia-sweep-pcache v1";
+constexpr const char* kHeader = "fepia-sweep-pcache v2";
 }  // namespace
 
 PersistentCache::PersistentCache(const std::string& dir) : dir_(dir) {

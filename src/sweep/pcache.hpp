@@ -14,7 +14,7 @@
 // process (`seg-<pid>-<rand>.seg`), so concurrent workers never
 // interleave writes in one file. Each segment is line-oriented:
 //
-//   fepia-sweep-pcache v1
+//   fepia-sweep-pcache v2
 //   entry <hexfloat-radius> <classifications> <content key ...>
 //
 // and every append is flushed (not synced: it survives a killed writer,
@@ -25,6 +25,11 @@
 // segment without the version header is skipped whole. Writers never
 // append to a foreign (or torn) segment; a fresh segment file is
 // created on first store.
+//
+// The version changes whenever the estimator's output for a key does
+// (v2: the pruned polish classifies fewer points, so counts differ from
+// v1's), and a segment with another version is skipped whole — an old
+// cache directory is recomputed, never served.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "validate/empirical.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -39,11 +38,19 @@ void checkOptions(const EstimatorOptions& opts) {
 using BlockPredicateFactory =
     std::function<BlockSafePredicate(std::size_t chunkId)>;
 
-/// One ray's march/bisection state machine. advance() consumes exactly
-/// one safe/unsafe verdict per round, replicating the scalar loop of
-/// boundaryDistanceAlong (same probe sequence, same exit conditions,
-/// same final 0.5*(lo+hi)), so lockstep execution is bit-identical to
-/// per-ray execution.
+/// One ray's march/bisection state machine: geometric march from
+/// horizon * 2^-40 doubling up to the horizon, then bisection of the
+/// bracketing interval; +inf when the whole ray stays safe. Rays that
+/// leave and re-enter the safe region below the march resolution are
+/// attributed to the first crossing the march sees (the same caveat as
+/// any sampling method on a non-convex region). advance() consumes
+/// exactly one safe/unsafe verdict, so the probe sequence, exit tests
+/// and final 0.5*(lo+hi) do not depend on how verdicts are batched.
+///
+/// `bound` prunes: once a safe probe reaches it (lo >= bound) the ray
+/// stops, since its distance can no longer fall below the bound. The
+/// result is then `lo`, which is <= the unpruned distance and >= the
+/// bound. The chunk phase needs every distance and keeps bound = +inf.
 struct RayState {
   enum class Phase { March, Bisect, Done };
 
@@ -51,14 +58,25 @@ struct RayState {
   double lo = 0.0;        ///< known safe distance
   double hi = 0.0;        ///< known unsafe distance (once bracketed)
   double probe = 0.0;     ///< distance to classify next round
+  double bound = std::numeric_limits<double>::infinity();
   std::size_t iter = 0;   ///< bisection steps taken
   Phase phase = Phase::March;
   double dist = std::numeric_limits<double>::infinity();
 
+  /// Resets to the first march probe `t0`, keeping the direction.
+  void restart(double t0, double limit) {
+    lo = 0.0;
+    hi = 0.0;
+    probe = t0;
+    bound = limit;
+    iter = 0;
+    phase = Phase::March;
+    dist = std::numeric_limits<double>::infinity();
+  }
+
   /// Schedules the next bisection probe, or finishes the ray when the
   /// iteration budget is spent or the bracket has collapsed to double
-  /// resolution — the scalar loop's exact exit tests, checked before
-  /// each evaluation.
+  /// resolution — checked before each evaluation.
   void scheduleBisect(const EstimatorOptions& opts) {
     if (iter >= opts.bisectIterations) {
       finish(0.5 * (lo + hi));
@@ -84,6 +102,8 @@ struct RayState {
           lo = probe;
           if (probe >= opts.horizon) {
             finish(std::numeric_limits<double>::infinity());
+          } else if (lo >= bound) {
+            finish(lo);
           } else {
             probe = std::min(2.0 * probe, opts.horizon);
           }
@@ -96,7 +116,11 @@ struct RayState {
           hi = probe;
         }
         ++iter;
-        scheduleBisect(opts);
+        if (lo >= bound) {
+          finish(lo);
+        } else {
+          scheduleBisect(opts);
+        }
         break;
       case Phase::Done:
         break;
@@ -109,76 +133,101 @@ struct RayState {
   }
 };
 
-/// Adapts a block predicate to one-point probes (origin check, polish):
-/// a persistent 1-lane block, scattered and classified per call. The
-/// per-lane kernels are bit-identical to scalar evaluation, so this is
-/// interchangeable with a scalar predicate.
-class SingleLaneProbe {
+/// The serial half of the estimator: the origin check and the polish,
+/// both on one predicate copy. A polish candidate's march probes sit at
+/// fixed distances, so every one its march can reach is classified in
+/// a single call and the verdicts are fed to the RayState in march
+/// order; each bisection midpoint depends on the previous verdict, so
+/// bisection classifies one lane per call, from a one-lane block whose
+/// point is contiguous.
+class SerialSearch {
  public:
-  SingleLaneProbe(const BlockSafePredicate& pred, std::size_t n)
-      : pred_(pred), block_(n, 1) {}
+  SerialSearch(const BlockSafePredicate& pred, const la::Vector& origin,
+               const EstimatorOptions& opts)
+      : pred_(pred),
+        origin_(origin),
+        opts_(opts),
+        march_(origin.size(), 1),
+        single_(origin.size(), 1),
+        point_(origin.size()) {}
 
-  bool operator()(const la::Vector& pi, std::size_t direction) {
-    block_.setPoint(0, pi.span());
-    dir_[0] = direction;
-    pred_(block_, dir_, std::span<std::uint8_t>(&verdict_, 1));
-    return verdict_ != 0;
+  /// Membership of the single point `pi`.
+  bool isSafe(const la::Vector& pi, std::size_t direction) {
+    single_.setPoint(0, pi.span());
+    classify(single_, direction);
+    return verdicts_[0] != 0;
+  }
+
+  /// Runs `ray` from its first march probe to Done and returns its
+  /// distance, adding every lane classified to `evals`. The march block
+  /// holds the probes the march reaches when every verdict is safe —
+  /// doubling up to the first one at or past the horizon or the bound —
+  /// so lanes past the first unsafe probe are classified too and count.
+  double distance(RayState& ray, std::size_t direction, std::size_t& evals) {
+    ts_.clear();
+    for (double t = ray.probe;;) {
+      ts_.push_back(t);
+      if (t >= opts_.horizon || t >= ray.bound) break;
+      t = std::min(2.0 * t, opts_.horizon);
+    }
+    const std::size_t lanes = ts_.size();
+    if (march_.capacity() < lanes) march_.reshape(origin_.size(), lanes);
+    march_.setLanes(lanes);
+    for (std::size_t j = 0; j < origin_.size(); ++j) {
+      const std::span<double> row = march_.coordinate(j);
+      const double oj = origin_[j];
+      const double uj = ray.u[j];
+      for (std::size_t l = 0; l < lanes; ++l) row[l] = oj + ts_[l] * uj;
+    }
+    evals += lanes;
+    try {
+      classify(march_, direction);
+    } catch (...) {
+      // A lane the serial march never reaches (past the first unsafe
+      // probe) may be one the predicate cannot evaluate. Replay the
+      // march one probe per call, so only a probe the march reaches
+      // can throw.
+      while (ray.phase == RayState::Phase::March) step(ray, direction, evals);
+    }
+    for (std::size_t l = 0; l < lanes && ray.phase == RayState::Phase::March;
+         ++l) {
+      ray.advance(verdicts_[l] != 0, opts_);
+    }
+    while (ray.phase == RayState::Phase::Bisect) {
+      step(ray, direction, evals);
+    }
+    return ray.dist;
   }
 
  private:
-  const BlockSafePredicate& pred_;
-  la::PointBlock block_;
-  std::array<std::size_t, 1> dir_{};
-  std::uint8_t verdict_ = 0;
-};
+  /// Classifies every lane of `block` into verdicts_.
+  void classify(const la::PointBlock& block, std::size_t direction) {
+    dirs_.assign(block.lanes(), direction);
+    verdicts_.resize(block.lanes());
+    pred_(block, dirs_, verdicts_);
+  }
 
-/// First safe->unsafe transition distance along `u` from `origin`:
-/// geometric march from horizon * 2^-40 doubling up to the horizon, then
-/// bisection of the bracketing interval. Returns +inf when the whole ray
-/// stays safe. Rays that leave and re-enter the safe region below the
-/// march resolution are attributed to the first crossing the march sees
-/// (the same caveat as any sampling method on a non-convex region).
-/// Serial reference used by the polish; the chunk phase runs the same
-/// probe sequence through RayState in lockstep.
-double boundaryDistanceAlong(SingleLaneProbe& safe, std::size_t direction,
-                             const la::Vector& origin,
-                             const std::vector<double>& u,
-                             const EstimatorOptions& opts, la::Vector& probe,
-                             std::size_t& evals) {
-  const std::size_t n = origin.size();
-  const auto isSafeAt = [&](double t) {
-    for (std::size_t i = 0; i < n; ++i) probe[i] = origin[i] + t * u[i];
+  /// Classifies the ray's next probe alone and advances it.
+  void step(RayState& ray, std::size_t direction, std::size_t& evals) {
+    for (std::size_t j = 0; j < origin_.size(); ++j) {
+      point_[j] = origin_[j] + ray.probe * ray.u[j];
+    }
+    single_.setPoint(0, point_.span());
     ++evals;
-    return safe(probe, direction);
-  };
-
-  double lo = 0.0;  // known safe (origin checked by the caller)
-  double hi = 0.0;
-  bool hit = false;
-  double t = std::ldexp(opts.horizon, -40);
-  for (;;) {
-    if (!isSafeAt(t)) {
-      hi = t;
-      hit = true;
-      break;
-    }
-    lo = t;
-    if (t >= opts.horizon) break;
-    t = std::min(2.0 * t, opts.horizon);
+    classify(single_, direction);
+    ray.advance(verdicts_[0] != 0, opts_);
   }
-  if (!hit) return std::numeric_limits<double>::infinity();
 
-  for (std::size_t it = 0; it < opts.bisectIterations; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= lo || mid >= hi) break;  // bracket at double resolution
-    if (isSafeAt(mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
+  const BlockSafePredicate& pred_;
+  const la::Vector& origin_;
+  const EstimatorOptions& opts_;
+  la::PointBlock march_;   ///< one candidate's march probes
+  la::PointBlock single_;  ///< one probe: origin check, bisection
+  la::Vector point_;
+  std::vector<double> ts_;  ///< march distances of march_'s lanes
+  std::vector<std::size_t> dirs_;
+  std::vector<std::uint8_t> verdicts_;
+};
 
 /// Confidence interval for the region radius from the directional
 /// sample. Every directional distance is >= the true radius, so the
@@ -234,20 +283,25 @@ stats::Interval minimumCI(const std::vector<double>& finite, double m,
 /// the best sampled direction: perturb one coordinate at a time,
 /// renormalise, keep strict improvements, halve the step on a full
 /// sweep without one. Serial by design — runs after the parallel phase,
-/// so it cannot affect the thread-count invariance.
-double polishDirection(SingleLaneProbe& safe, std::size_t direction,
-                       const la::Vector& origin, std::vector<double> u,
-                       double d0, const EstimatorOptions& opts,
-                       la::Vector& probe, std::size_t& evals) {
+/// so it cannot affect the thread-count invariance. A candidate is
+/// kept only when its distance beats the incumbent, so each candidate
+/// ray is pruned at the incumbent: accepted candidates and their
+/// distances are those of the unpruned search.
+double polishDirection(SerialSearch& search, std::size_t direction,
+                       std::vector<double> u, double d0,
+                       const EstimatorOptions& opts, std::size_t& evals) {
   const std::size_t n = u.size();
+  const double t0 = std::ldexp(opts.horizon, -40);
   double best = d0;
   double step = 0.25;
-  std::vector<double> v(n);
+  RayState cand;
   for (std::size_t sweep = 0; sweep < opts.polishSweeps && step > 1e-9;
        ++sweep) {
+    const std::size_t sweepStart = evals;
     bool improved = false;
     for (std::size_t j = 0; j < n; ++j) {
       for (const double sgn : {1.0, -1.0}) {
+        std::vector<double>& v = cand.u;
         v = u;
         v[j] += sgn * step;
         if (opts.nonnegativeDirections && v[j] < 0.0) v[j] = 0.0;
@@ -256,14 +310,18 @@ double polishDirection(SingleLaneProbe& safe, std::size_t direction,
         if (!(norm2 > 0.0)) continue;
         const double inv = 1.0 / std::sqrt(norm2);
         for (double& x : v) x *= inv;
-        const double d = boundaryDistanceAlong(safe, direction, origin, v,
-                                               opts, probe, evals);
+        cand.restart(t0, best);
+        const double d = search.distance(cand, direction, evals);
         if (d < best) {
           best = d;
           u = v;
           improved = true;
         }
       }
+    }
+    if (opts.liveClassifications != nullptr) {
+      opts.liveClassifications->fetch_add(evals - sweepStart,
+                                          std::memory_order_relaxed);
     }
     if (!improved) step *= 0.5;
   }
@@ -292,10 +350,10 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
   std::vector<BlockSafePredicate> preds(chunks + 1);
   for (std::size_t c = 0; c <= chunks; ++c) preds[c] = factory(c);
 
-  SingleLaneProbe serialProbe(preds[chunks], n);
+  SerialSearch serial(preds[chunks], origin, opts);
   // Origin membership is a precondition, not part of the sample — it is
   // deliberately excluded from est.classifications (as before).
-  if (!serialProbe(origin, 0)) {
+  if (!serial.isSafe(origin, 0)) {
     throw std::domain_error(
         "validate: the origin violates the robustness requirement (the paper "
         "assumes the assumed operating point satisfies QoS)");
@@ -402,14 +460,15 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
   if (!finite.empty()) {
     est.distanceSummary = stats::summarize(finite);
     if (opts.polishSweeps > 0) {
-      la::Vector probe(n);
+      FEPIA_SPAN("validate.polish");
       std::size_t evals = 0;
       est.radius = polishDirection(
-          serialProbe, est.criticalDirection, origin,
+          serial, est.criticalDirection,
           bestDirPerChunk[est.criticalDirection / opts.chunkSize], est.radius,
-          opts, probe, evals);
+          opts, evals);
       est.classifications += evals;
     }
+    FEPIA_SPAN("validate.bootstrap");
     est.ci = minimumCI(finite, est.radius, opts);
   }
 

@@ -24,6 +24,15 @@
 // sequence of probe distances, the evaluation count and the resulting
 // boundary distance are exactly those of the per-ray scalar loop, so
 // batching changes throughput only, never results.
+//
+// The serial polish prunes each candidate ray at the incumbent distance
+// (a candidate is kept only when it beats it) and classifies every march
+// probe a candidate can reach in one call. Radii, intervals and
+// distances are those of the unpruned search; `classifications` counts
+// the lanes actually classified. A predicate may therefore see march
+// probes past a ray's first violation. When such a call throws, that
+// march is replayed one probe per call, so the estimator raises only
+// the errors the per-ray loop would.
 #pragma once
 
 #include <atomic>
@@ -98,7 +107,9 @@ struct EstimatorOptions {
   /// so in high dimension, where no ray lands near the optimal
   /// direction; the polish walks the best direction downhill and removes
   /// most of that bias. Deterministic and serial (does not affect the
-  /// thread-count invariance). 0 disables.
+  /// thread-count invariance). Each candidate ray stops once its safe
+  /// distance reaches the incumbent's, and its march probes go to the
+  /// predicate in one block. 0 disables.
   std::size_t polishSweeps = 48;
   /// Bootstrap confidence level for the radius interval.
   double confidence = 0.95;
@@ -119,10 +130,12 @@ struct EstimatorOptions {
   /// determinism contract is unaffected).
   obs::Registry* metrics = nullptr;
   /// Optional live progress counter for telemetry: each chunk adds its
-  /// classification-eval count here (one relaxed fetch_add per chunk)
-  /// as it completes, so a sampler thread can watch throughput while
-  /// the estimator runs. Purely observational — never read back by the
-  /// estimator, so results are unaffected.
+  /// classification count here as it completes, and the polish adds its
+  /// own after every pattern-search sweep (one relaxed fetch_add each),
+  /// so a sampler thread can watch throughput while the estimator runs
+  /// and the counter ends up `classifications` higher. Purely
+  /// observational — never read back by the estimator, so results are
+  /// unaffected.
   std::atomic<std::uint64_t>* liveClassifications = nullptr;
 };
 
@@ -146,7 +159,9 @@ struct EmpiricalEstimate {
   /// Directions sampled / directions whose ray hit the boundary.
   std::size_t directions = 0;
   std::size_t boundaryHits = 0;
-  /// Total safe-predicate evaluations across all rays.
+  /// Lanes classified across the chunk phase and the polish (the
+  /// origin check excluded). The polish's march blocks count in full,
+  /// including lanes past a candidate's first violation.
   std::size_t classifications = 0;
   /// Kernel work counters of the FeatureSet overload (blocks, lanes,
   /// f32 hits, double fallbacks), merged over all chunk classifiers in

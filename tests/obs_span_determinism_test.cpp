@@ -177,5 +177,8 @@ TEST(ObsSpanDeterminism, EstimatorIsTraceAndMetricsInvariant) {
     EXPECT_EQ(countByName(recs, "validate.estimate"), 1u);
     EXPECT_EQ(countByName(recs, "validate.chunk"),
               opts.directions / opts.chunkSize);
+    // The serial phases after the chunks: one polish, one bootstrap CI.
+    EXPECT_EQ(countByName(recs, "validate.polish"), 1u);
+    EXPECT_EQ(countByName(recs, "validate.bootstrap"), 1u);
   }
 }

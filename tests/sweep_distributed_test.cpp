@@ -21,10 +21,12 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "server/dist_sweep.hpp"
+#include "server/server.hpp"
 #include "server/wire.hpp"
 #include "support/tmp_path.hpp"
 #include "sweep/engine.hpp"
@@ -287,7 +289,7 @@ TEST(PersistentCache, TornSegmentLinesAreQuarantinedOnOpen) {
   }
   {
     std::ofstream torn(dir + "/seg-zz-torn.seg");
-    torn << "fepia-sweep-pcache v1\n"
+    torn << "fepia-sweep-pcache v2\n"
          << "entry 0x1.8p+0 7 survivor\n"
          << "entry 0x1.8p+0 7\n"        // missing key
          << "entry notadouble 7 key\n"  // bad radius
@@ -429,6 +431,76 @@ TEST(SweepDistributed, CoordinatorAnswersOnFepiadsListener) {
         << bad;
   }
   ::close(fd);
+}
+
+/// Answers a worker's hello with `welcome`, every lease request with
+/// `lease`, and anything else (heartbeats) with a bare ok.
+class FixedLeaseReply final : public server::LeaseHandler {
+ public:
+  FixedLeaseReply(std::string welcome, std::string lease)
+      : welcome_(std::move(welcome)), lease_(std::move(lease)) {}
+  std::string answer(const std::string& kind, const obs::JsonValue&,
+                     std::string& worker) override {
+    if (kind == "hello") {
+      worker = "stub";
+      return welcome_;
+    }
+    if (kind == "lease") return lease_;
+    return R"({"ok":true})";
+  }
+  void workerLost(const std::string&) override {}
+
+ private:
+  std::string welcome_;
+  std::string lease_;
+};
+
+TEST(SweepDistributed, WorkerRefusesOutOfRangeLeaseReplies) {
+  const sweep::SweepSpec spec = referenceSpec();
+  ASSERT_EQ(spec.pointCount(), 16u);
+  const std::string welcome =
+      R"({"ok":true,"kind":"welcome","lease_ms":60000})";
+  const std::string lease = R"({"ok":true,"kind":"lease",)";
+  const std::string goodLease = lease + R"("shard":0,"first":0,"count":2})";
+  const std::vector<std::pair<std::string, std::string>> replies = {
+      {welcome, lease + R"("shard":-1,"first":0,"count":2})"},
+      {welcome, lease + R"("shard":0.5,"first":0,"count":2})"},
+      {welcome, lease + R"("shard":16,"first":0,"count":2})"},
+      {welcome, lease + R"("shard":0,"first":1e300,"count":2})"},
+      {welcome, lease + R"("shard":0,"first":-2,"count":2})"},
+      {welcome, lease + R"("shard":0,"first":0,"count":1e18})"},
+      {welcome, lease + R"("shard":0,"first":15,"count":2})"},
+      {welcome, lease + R"("shard":0,"first":0,"count":2,"generation":-1})"},
+      {welcome,
+       lease + R"("shard":0,"first":0,"count":2,"generation":1e300})"},
+      {welcome, R"({"ok":true,"kind":"wait","retry_ms":-5})"},
+      {welcome, R"({"ok":true,"kind":"wait","retry_ms":0.5})"},
+      {welcome, R"({"ok":true,"kind":"wait","retry_ms":1e12})"},
+      {R"({"ok":true,"kind":"welcome","lease_ms":-1})", goodLease},
+      {R"({"ok":true,"kind":"welcome","lease_ms":1e300})", goodLease},
+  };
+  for (const auto& [hello, reply] : replies) {
+    SCOPED_TRACE(hello + " / " + reply);
+    FixedLeaseReply handler(hello, reply);
+    server::ServeConfig sc;
+    sc.workers = 1;
+    sc.threads = 1;
+    server::Server stub(sc, nullptr, &handler);
+    std::string error;
+    ASSERT_TRUE(stub.start(&error)) << error;
+    server::SweepWorkerConfig wc;
+    wc.port = stub.port();
+    wc.name = "w";
+    try {
+      (void)server::runSweepWorker(spec, wc);
+      ADD_FAILURE() << "worker accepted the reply";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("sweep worker: malformed"),
+                std::string::npos)
+          << e.what();
+    }
+    stub.stop();
+  }
 }
 
 TEST(SweepDistributed, WorkerConnectedAtStopLeavesAsDrained) {
